@@ -6,8 +6,9 @@
 //! provides the classic sequence-number / cumulative-ack / retransmission
 //! construction of reliable FIFO channels on top of fair-lossy links.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use oar_sequence::IdMap;
 use oar_simnet::ProcessId;
 
 use crate::component::Outgoing;
@@ -37,10 +38,10 @@ pub enum FifoWire<M> {
 /// periodically (e.g. every few milliseconds of simulated time).
 #[derive(Debug)]
 pub struct FifoLink<M> {
-    send_next: HashMap<ProcessId, u64>,
-    unacked: HashMap<ProcessId, BTreeMap<u64, M>>,
-    recv_next: HashMap<ProcessId, u64>,
-    recv_buffer: HashMap<ProcessId, BTreeMap<u64, M>>,
+    send_next: IdMap<ProcessId, u64>,
+    unacked: IdMap<ProcessId, BTreeMap<u64, M>>,
+    recv_next: IdMap<ProcessId, u64>,
+    recv_buffer: IdMap<ProcessId, BTreeMap<u64, M>>,
 }
 
 impl<M> Default for FifoLink<M> {
@@ -53,10 +54,10 @@ impl<M> FifoLink<M> {
     /// Creates an endpoint with no history.
     pub fn new() -> Self {
         FifoLink {
-            send_next: HashMap::new(),
-            unacked: HashMap::new(),
-            recv_next: HashMap::new(),
-            recv_buffer: HashMap::new(),
+            send_next: IdMap::default(),
+            unacked: IdMap::default(),
+            recv_next: IdMap::default(),
+            recv_buffer: IdMap::default(),
         }
     }
 }

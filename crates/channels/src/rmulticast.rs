@@ -18,14 +18,13 @@
 //!
 //! The sender does not need to belong to `Π` (the OAR clients multicast their
 //! requests to the server group without being members); when it does belong to
-//! the group ([`ReliableCaster::broadcast`]), it also delivers its own message,
+//! the group ([`ReliableCaster::broadcast_shared`]), it also delivers its own message,
 //! which gives the `R-broadcast` primitive used for `PhaseII` notifications.
 
-use std::collections::HashSet;
-
+use oar_sequence::IdSet;
 use oar_simnet::ProcessId;
 
-use crate::component::{MsgId, Outgoing};
+use crate::component::MsgId;
 
 /// Wire format of the reliable multicast: the payload plus the identifier used
 /// for duplicate suppression.
@@ -47,7 +46,7 @@ pub struct ReliableCaster<M> {
     self_id: ProcessId,
     group: Vec<ProcessId>,
     next_seq: u64,
-    seen: HashSet<MsgId>,
+    seen: IdSet<MsgId>,
     _marker: std::marker::PhantomData<M>,
 }
 
@@ -59,7 +58,7 @@ impl<M: Clone> ReliableCaster<M> {
             self_id,
             group,
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -91,17 +90,6 @@ impl<M: Clone> ReliableCaster<M> {
         (id, wire, targets)
     }
 
-    /// `R-multicast(m, Π)` returning one pre-cloned wire message per group
-    /// member. Prefer [`ReliableCaster::multicast_shared`] on hot paths.
-    pub fn multicast(&mut self, payload: M) -> (MsgId, Vec<Outgoing<CastWire<M>>>) {
-        let (id, wire, targets) = self.multicast_shared(payload);
-        let out = targets
-            .into_iter()
-            .map(|p| Outgoing::new(p, wire.clone()))
-            .collect();
-        (id, out)
-    }
-
     /// `R-broadcast(m)` for a sender that *is* a member of `Π`, without
     /// cloning the payload per destination: returns the wire message once,
     /// the destinations, and the local delivery of the sender's own message.
@@ -115,18 +103,6 @@ impl<M: Clone> ReliableCaster<M> {
             payload: wire.payload.clone(),
         };
         (wire, targets, local)
-    }
-
-    /// `R-broadcast(m)` returning one pre-cloned wire message per other group
-    /// member plus the local delivery. Prefer
-    /// [`ReliableCaster::broadcast_shared`] on hot paths.
-    pub fn broadcast(&mut self, payload: M) -> (Vec<Outgoing<CastWire<M>>>, Delivery<M>) {
-        let (wire, targets, local) = self.broadcast_shared(payload);
-        let out = targets
-            .into_iter()
-            .map(|p| Outgoing::new(p, wire.clone()))
-            .collect();
-        (out, local)
     }
 
     /// Handles an incoming multicast wire message, without cloning the relay
@@ -164,24 +140,6 @@ impl<M: Clone> ReliableCaster<M> {
         (Some(delivery), Some((wire, targets)))
     }
 
-    /// Handles an incoming multicast wire message, returning one pre-cloned
-    /// relay per destination. Prefer [`ReliableCaster::on_wire_shared`] on hot
-    /// paths.
-    pub fn on_wire(
-        &mut self,
-        wire: CastWire<M>,
-    ) -> (Option<Delivery<M>>, Vec<Outgoing<CastWire<M>>>) {
-        let (delivery, relay) = self.on_wire_shared(wire);
-        let relays = match relay {
-            None => Vec::new(),
-            Some((wire, targets)) => targets
-                .into_iter()
-                .map(|p| Outgoing::new(p, wire.clone()))
-                .collect(),
-        };
-        (delivery, relays)
-    }
-
     /// Number of distinct multicasts seen so far (delivered or self-sent).
     pub fn seen_count(&self) -> usize {
         self.seen.len()
@@ -189,7 +147,7 @@ impl<M: Clone> ReliableCaster<M> {
 
     /// The duplicate-suppression set in sorted order plus the local multicast
     /// counter — a canonical view of the caster's state, used by the model
-    /// checker's state digests (`HashSet` iteration order is not stable).
+    /// checker's state digests (hash-set iteration order is not canonical).
     pub fn digest_view(&self) -> (u64, Vec<MsgId>) {
         let mut seen: Vec<MsgId> = self.seen.iter().copied().collect();
         seen.sort();
@@ -251,40 +209,52 @@ mod tests {
         vec![ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]
     }
 
+    /// Feeds `wire` to `caster`, returning the delivery and the relay
+    /// destinations (empty when nothing is relayed).
+    fn receive<M: Clone>(
+        caster: &mut ReliableCaster<M>,
+        wire: CastWire<M>,
+    ) -> (Option<Delivery<M>>, Vec<ProcessId>) {
+        let (delivery, relay) = caster.on_wire_shared(wire);
+        (
+            delivery,
+            relay.map(|(_, targets)| targets).unwrap_or_default(),
+        )
+    }
+
     #[test]
     fn multicast_from_external_sender_reaches_all_members() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (id, out) = client.multicast("req");
-        assert_eq!(out.len(), 3);
-        assert_eq!(id.origin, ProcessId::new(9));
-        let targets: Vec<ProcessId> = out.iter().map(|o| o.to).collect();
+        let (id, wire, targets) = client.multicast_shared("req");
         assert_eq!(targets, group3());
-        assert!(out.iter().all(|o| o.wire.origin == ProcessId::new(9)));
+        assert_eq!(id.origin, ProcessId::new(9));
+        assert_eq!(wire.id, id);
+        assert_eq!(wire.origin, ProcessId::new(9));
     }
 
     #[test]
     fn first_reception_delivers_and_relays() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
-        let to_p0 = out.into_iter().find(|o| o.to == ProcessId::new(0)).unwrap();
-        let (delivery, relays) = server0.on_wire(to_p0.wire);
+        let (_, wire, _) = client.multicast_shared("req");
+        let (delivery, relay) = server0.on_wire_shared(wire);
         let delivery = delivery.expect("first copy must be delivered");
         assert_eq!(delivery.payload, "req");
         assert_eq!(delivery.origin, ProcessId::new(9));
         // relays go to the other group members, not back to the origin
-        let relay_targets: Vec<ProcessId> = relays.iter().map(|o| o.to).collect();
+        let (relayed, relay_targets) = relay.expect("a relay is due");
         assert_eq!(relay_targets, vec![ProcessId::new(1), ProcessId::new(2)]);
+        assert_eq!(relayed.payload, "req");
+        assert_eq!(relayed.origin, ProcessId::new(9));
     }
 
     #[test]
     fn duplicates_are_not_redelivered() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
-        let wire = out[0].wire.clone();
-        let (d1, _) = server0.on_wire(wire.clone());
-        let (d2, relays2) = server0.on_wire(wire);
+        let (_, wire, _) = client.multicast_shared("req");
+        let (d1, _) = receive(&mut server0, wire.clone());
+        let (d2, relays2) = receive(&mut server0, wire);
         assert!(d1.is_some());
         assert!(d2.is_none());
         assert!(relays2.is_empty());
@@ -295,9 +265,8 @@ mod tests {
     fn forget_ages_out_and_permits_one_redelivery() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
-        let wire = out[0].wire.clone();
-        let (d1, _) = server0.on_wire(wire.clone());
+        let (_, wire, _) = client.multicast_shared("req");
+        let (d1, _) = receive(&mut server0, wire.clone());
         assert!(d1.is_some());
         assert_eq!(server0.seen_count(), 1);
         assert!(server0.forget(&wire.id));
@@ -305,7 +274,7 @@ mod tests {
         assert_eq!(server0.seen_count(), 0);
         // A stale duplicate after forgetting is re-delivered once (the layer
         // above suppresses it by its settled-request check) and re-tracked.
-        let (d2, _) = server0.on_wire(wire);
+        let (d2, _) = receive(&mut server0, wire);
         assert!(d2.is_some());
         assert_eq!(server0.seen_count(), 1);
     }
@@ -313,18 +282,15 @@ mod tests {
     #[test]
     fn broadcast_delivers_locally_and_ignores_own_relay() {
         let mut p0: ReliableCaster<u32> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (out, local) = p0.broadcast(42);
+        let (wire, targets, local) = p0.broadcast_shared(42);
         assert_eq!(local.payload, 42);
         assert_eq!(local.origin, ProcessId::new(0));
-        assert_eq!(out.len(), 2);
+        assert_eq!(targets, vec![ProcessId::new(1), ProcessId::new(2)]);
+        assert_eq!(wire.id, local.id);
         // if a relayed copy of our own broadcast comes back, it is ignored
-        let echo = CastWire {
-            id: local.id,
-            origin: ProcessId::new(0),
-            payload: 42,
-        };
-        let (d, _) = p0.on_wire(echo);
+        let (d, relays) = receive(&mut p0, wire);
         assert!(d.is_none());
+        assert!(relays.is_empty());
     }
 
     #[test]
@@ -338,19 +304,18 @@ mod tests {
             &[ProcessId::new(0), ProcessId::new(1), ProcessId::new(3)]
         );
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (_, out) = client.multicast("req");
-        let (d, relays) = p0.on_wire(out[0].wire.clone());
+        let (_, wire, _) = client.multicast_shared("req");
+        let (d, relay_targets) = receive(&mut p0, wire);
         assert!(d.is_some());
         // The relay reaches the newcomer instead of the fenced-out member.
-        let relay_targets: Vec<ProcessId> = relays.iter().map(|o| o.to).collect();
         assert_eq!(relay_targets, vec![ProcessId::new(1), ProcessId::new(3)]);
     }
 
     #[test]
     fn distinct_multicasts_get_distinct_ids() {
         let mut client: ReliableCaster<u32> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (id1, _) = client.multicast(1);
-        let (id2, _) = client.multicast(2);
+        let (id1, _, _) = client.multicast_shared(1);
+        let (id2, _, _) = client.multicast_shared(2);
         assert_ne!(id1, id2);
     }
 
@@ -365,23 +330,23 @@ mod tests {
             .iter()
             .map(|&p| ReliableCaster::new(p, group.clone()))
             .collect();
-        let (_, out) = client.multicast("req");
         // Sender crashes after only the copy to p1 made it out.
-        let only = out.into_iter().find(|o| o.to == ProcessId::new(1)).unwrap();
-        let (d1, relays) = servers[1].on_wire(only.wire);
+        let (_, wire, _) = client.multicast_shared("req");
+        let (d1, relay) = servers[1].on_wire_shared(wire);
         assert!(d1.is_some());
+        let (relayed, targets) = relay.expect("p1 relays its first copy");
         let mut delivered = vec![false, true, false];
-        for relay in relays {
-            let idx = relay.to.index();
-            let (d, more) = servers[idx].on_wire(relay.wire);
+        for to in targets {
+            let (d, more) = servers[to.index()].on_wire_shared(relayed.clone());
             if d.is_some() {
-                delivered[idx] = true;
+                delivered[to.index()] = true;
             }
             // second-level relays are harmless duplicates
-            for r in more {
-                let (d, _) = servers[r.to.index()].on_wire(r.wire);
-                if d.is_some() {
-                    delivered[r.to.index()] = true;
+            if let Some((again, next)) = more {
+                for r in next {
+                    if servers[r.index()].on_wire_shared(again.clone()).0.is_some() {
+                        delivered[r.index()] = true;
+                    }
                 }
             }
         }

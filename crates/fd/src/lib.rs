@@ -23,9 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use oar_channels::Outgoing;
+use oar_sequence::IdMap;
 use oar_simnet::{ProcessId, SimDuration, SimTime};
 
 /// Wire messages of the failure detector.
@@ -84,7 +85,7 @@ pub struct HeartbeatFd {
     self_id: ProcessId,
     group: Vec<ProcessId>,
     config: FdConfig,
-    last_heard: HashMap<ProcessId, SimTime>,
+    last_heard: IdMap<ProcessId, SimTime>,
     last_heartbeat_sent: Option<SimTime>,
     suspected: BTreeSet<ProcessId>,
     started_at: Option<SimTime>,
@@ -97,7 +98,7 @@ impl HeartbeatFd {
             self_id,
             group,
             config,
-            last_heard: HashMap::new(),
+            last_heard: IdMap::default(),
             last_heartbeat_sent: None,
             suspected: BTreeSet::new(),
             started_at: None,

@@ -27,6 +27,7 @@
 //! large delivery batches and decaying back when load drops.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use oar_channels::ReliableCaster;
 use oar_simnet::{GroupId, Process, ProcessId, Runtime, SimDuration, SimTime, Timer, TimerTag};
@@ -167,7 +168,7 @@ pub struct OarClient<S: StateMachine> {
     id: ProcessId,
     servers: Vec<ProcessId>,
     group: GroupId,
-    cast: ReliableCaster<Request<S::Command>>,
+    cast: ReliableCaster<Arc<Request<S::Command>>>,
     workload: VecDeque<S::Command>,
     next_index: usize,
     think_time: SimDuration,
@@ -252,7 +253,7 @@ impl<S: StateMachine> OarClient<S> {
             let Some(command) = self.workload.pop_front() else {
                 return;
             };
-            let (id, mut wire, targets) = self.cast.multicast_shared(Request {
+            let (id, mut wire, targets) = self.cast.multicast_shared(Arc::new(Request {
                 // The id is re-stamped below once the multicast assigns it.
                 id: RequestId::new(self.id, 0),
                 client: self.id,
@@ -261,10 +262,11 @@ impl<S: StateMachine> OarClient<S> {
                 reconfig: None,
                 route_epoch: 0,
                 command,
-            });
+            }));
             // Re-stamp the request with the multicast id so servers and client
-            // agree; the wire is built once and shared across all servers.
-            wire.payload.id = id;
+            // agree. The `Arc` is fresh, so this writes in place; the wire is
+            // built once and shared across all servers.
+            Arc::get_mut(&mut wire.payload).expect("fresh request").id = id;
             ctx.send_all(&targets, OarWire::Request(wire));
             ctx.annotate(format!("OAR-multicast({id})"));
             self.outstanding.insert(

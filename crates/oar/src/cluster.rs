@@ -3,6 +3,8 @@
 //! correctness propositions. Used by the integration tests, the examples and
 //! the experiment harness.
 
+use std::sync::Arc;
+
 use oar_channels::CastWire;
 use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, World};
 
@@ -638,7 +640,7 @@ pub fn spawn_replacement<S: StateMachine>(
     let wire = CastWire {
         id,
         origin: new,
-        payload: Request {
+        payload: Arc::new(Request {
             id,
             client: new,
             group: oar.group,
@@ -646,7 +648,7 @@ pub fn spawn_replacement<S: StateMachine>(
             reconfig: Some(ReconfigCmd::Replace { old, new }),
             route_epoch: 0,
             command: fence_command,
-        },
+        }),
     };
     for &s in servers {
         if s != old && !world.is_crashed(s) {

@@ -357,7 +357,7 @@ mod spec_proptests {
             let d = decision_of(&case);
             prop_assume!(case.contributors.len() > n / 2);
             // requests held by a majority
-            let mut counts: std::collections::HashMap<RequestId, usize> = Default::default();
+            let mut counts: oar_sequence::IdMap<RequestId, usize> = Default::default();
             for v in &case.values {
                 for m in v.o_delivered.iter().chain(v.o_notdelivered.iter()) {
                     *counts.entry(*m).or_default() += 1;

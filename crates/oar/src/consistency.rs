@@ -11,7 +11,7 @@
 //! it would fail every comparison vacuously
 //! ([`OarServer::is_recovering`] is the filter).
 
-use std::collections::{HashMap, HashSet};
+use oar_sequence::{IdMap, IdSet};
 
 use crate::client::CompletedRequest;
 use crate::message::RequestId;
@@ -41,7 +41,7 @@ pub fn check_server_consistency<S: StateMachine>(servers: &[&OarServer<S>]) -> R
     for server in servers {
         let p = server.id();
         let seq = server.committed_sequence();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         for id in seq.iter() {
             if !seen.insert(*id) {
                 return Err(format!("server {p} delivered {id} twice"));
@@ -81,7 +81,7 @@ pub fn check_server_consistency<S: StateMachine>(servers: &[&OarServer<S>]) -> R
     }
     // Digest equality for equal *total* delivery counts (compacted prefix +
     // retained log + current optimistic deliveries).
-    let mut by_len: HashMap<u64, (oar_simnet::ProcessId, u64)> = HashMap::new();
+    let mut by_len: IdMap<u64, (oar_simnet::ProcessId, u64)> = IdMap::default();
     for server in servers {
         let s = server.id();
         let len = server.a_base() + server.committed_sequence().len() as u64;
@@ -114,7 +114,7 @@ pub fn check_external_consistency<S: StateMachine>(
     // Build, per server, the final position of every settled request.
     // Positions are global: the retained sequence starts after the
     // compacted prefix, at `a_base + 1`.
-    let per_server: Vec<(oar_simnet::ProcessId, HashMap<RequestId, u64>)> = servers
+    let per_server: Vec<(oar_simnet::ProcessId, IdMap<RequestId, u64>)> = servers
         .iter()
         .map(|server| {
             let base = server.a_base();

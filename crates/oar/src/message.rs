@@ -7,6 +7,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use oar_channels::{CastWire, MsgId};
 use oar_consensus::ConsensusWire;
@@ -246,8 +247,10 @@ impl fmt::Display for CnsvValue {
 #[derive(Clone, Debug, PartialEq)]
 pub enum OarWire<C, R> {
     /// A client request travelling through the reliable multicast layer
-    /// (initial send from the client or relay between servers).
-    Request(CastWire<Request<C>>),
+    /// (initial send from the client or relay between servers). The request
+    /// is shared, not copied: every wire, relay and server-side buffer that
+    /// holds it points at the one allocation the client made.
+    Request(CastWire<Arc<Request<C>>>),
     /// A server's replies to one client, coalesced per delivery batch.
     Replies(ReplyBatch<R>),
     /// The sequencer's ordering message.
@@ -303,7 +306,7 @@ pub enum OarWire<C, R> {
     /// donor still holds; the requester re-asks another peer for the rest).
     PayloadFill {
         /// The full requests, ready to feed the normal delivery path.
-        requests: Vec<Request<C>>,
+        requests: Vec<Arc<Request<C>>>,
     },
     /// A server telling a client its routing is stale: the listed migrations
     /// have settled and the listed requests were **dropped** (door-dropped at
@@ -432,7 +435,7 @@ pub struct CatchUpReply<C> {
     pub snapshot_order_hash: u64,
     /// The settled commands ordered after the snapshot, in delivery order,
     /// with payloads — the replay delta.
-    pub delta: Vec<Request<C>>,
+    pub delta: Vec<Arc<Request<C>>>,
     /// The donor's current epoch (the rejoiner resumes at this epoch).
     pub epoch: u64,
     /// Whether the donor's current epoch is already in the conservative
@@ -456,7 +459,7 @@ pub struct CatchUpReply<C> {
     /// that were live when a request spread, so a request multicast while
     /// the rejoiner was down would otherwise never reach it — fatal once
     /// sequencer rotation makes the rejoiner responsible for ordering it.
-    pub pending: Vec<Request<C>>,
+    pub pending: Vec<Arc<Request<C>>>,
     /// The donor's group membership at transfer time — a rejoiner that was
     /// down across a settled `Replace` fence must adopt the post-replacement
     /// roster or it would keep heartbeating (and counting quorums against)

@@ -23,6 +23,7 @@
 //! is wall-clock.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use oar_channels::ReliableCaster;
 use oar_simnet::{GroupId, Process, ProcessId, Runtime, SimDuration, SimTime, Timer, TimerTag};
@@ -51,7 +52,7 @@ pub struct OpenLoopClient<S: StateMachine> {
     id: ProcessId,
     servers: Vec<ProcessId>,
     group: GroupId,
-    cast: ReliableCaster<Request<S::Command>>,
+    cast: ReliableCaster<Arc<Request<S::Command>>>,
     workload: VecDeque<S::Command>,
     interarrival: SimDuration,
     /// The intended submission time of the next arrival (absolute), the
@@ -141,7 +142,7 @@ impl<S: StateMachine> OpenLoopClient<S> {
         let Some(command) = self.workload.pop_front() else {
             return;
         };
-        let (id, mut wire, targets) = self.cast.multicast_shared(Request {
+        let (id, mut wire, targets) = self.cast.multicast_shared(Arc::new(Request {
             // Re-stamped below once the multicast assigns the id.
             id: RequestId::new(self.id, 0),
             client: self.id,
@@ -150,8 +151,8 @@ impl<S: StateMachine> OpenLoopClient<S> {
             reconfig: None,
             route_epoch: 0,
             command,
-        });
-        wire.payload.id = id;
+        }));
+        Arc::get_mut(&mut wire.payload).expect("fresh request").id = id;
         rt.send_all(&targets, OarWire::Request(wire));
         self.outstanding.insert(
             id,

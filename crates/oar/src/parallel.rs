@@ -31,8 +31,9 @@
 //! `oar-apps` enforce this). Only the wall-clock spent in the apply stage
 //! changes, which is the point.
 
-use std::collections::HashMap;
 use std::thread;
+
+use oar_sequence::IdMap;
 
 use crate::state_machine::{AppliedBatch, ConflictKeys, KeySet, StateMachine};
 
@@ -101,7 +102,7 @@ pub trait ParallelStateMachine: StateMachine {
 pub fn plan_waves<C: ConflictKeys>(commands: &[&C]) -> Vec<Vec<usize>> {
     let mut waves: Vec<Vec<usize>> = Vec::new();
     // First wave each key is free in again (last toucher's wave + 1).
-    let mut key_free: HashMap<&str, usize> = HashMap::new();
+    let mut key_free: IdMap<&str, usize> = IdMap::default();
     // First wave allowed after the latest unknown-footprint barrier.
     let mut barrier = 0usize;
     // One past the highest wave assigned so far.
@@ -233,7 +234,7 @@ mod tests {
     /// footprint. Staging is slot-local, so the stage/commit contract holds.
     #[derive(Debug, Default, PartialEq, Clone)]
     struct SlotMachine {
-        slots: HashMap<String, i64>,
+        slots: IdMap<String, i64>,
         applied: u64,
     }
 
@@ -301,7 +302,7 @@ mod tests {
             match command {
                 SlotCommand::Bump(slots) => {
                     let mut sums = Vec::with_capacity(slots.len());
-                    let mut overlay: HashMap<&str, i64> = HashMap::new();
+                    let mut overlay: IdMap<&str, i64> = IdMap::default();
                     for slot in slots {
                         let next = overlay
                             .get(slot.as_str())

@@ -21,7 +21,7 @@
 //! * `O_delivered` and `A_delivered` are indexed [`Seq`]s, so the membership
 //!   tests of Tasks 1a/1b (`delivered_already`) cost O(1) instead of a scan;
 //! * the not-yet-deliverable suffix of the sequencer order is a `VecDeque`
-//!   plus a membership `HashSet`, so draining it is O(1) per request;
+//!   plus a membership `IdSet`, so draining it is O(1) per request;
 //! * the sequencer keeps a cursor into `R_delivered` (`order_cursor`) marking
 //!   the prefix it has already examined, so Task 1a only scans *new* requests
 //!   instead of the whole reception buffer on every invocation;
@@ -77,12 +77,13 @@
 //! `ServerStats::payloads` exposes the current and peak map size so the
 //! bound is observable.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use oar_channels::{CastWire, Delivery, ReliableCaster};
 use oar_consensus::{ConsensusSend, ConsensusWire, Decision, MajConsensus};
 use oar_fd::{FdEvent, HeartbeatFd};
-use oar_sequence::Seq;
+use oar_sequence::{IdMap, IdSet, Seq};
 use oar_simnet::{
     BucketHistogram, PeakGauge, Process, ProcessId, Runtime, SimDuration, SimTime, Timer, TimerTag,
 };
@@ -389,9 +390,10 @@ pub struct OarServer<S: StateMachine> {
     /// Requests Opt-delivered in the current epoch (the paper's `O_delivered`).
     o_delivered: Seq<RequestId>,
     /// Fast membership test for `a_delivered` plus kept optimistic deliveries.
-    settled: HashSet<RequestId>,
-    /// Request payloads, keyed by id.
-    payloads: HashMap<RequestId, Request<S::Command>>,
+    settled: IdSet<RequestId>,
+    /// Request payloads, keyed by id. Shared with the multicast wires that
+    /// carried them and the settled log, never deep-copied.
+    payloads: IdMap<RequestId, Arc<Request<S::Command>>>,
     /// Undo tokens of the current epoch's optimistic deliveries (LIFO).
     undo_stack: Vec<(RequestId, S::Undo)>,
     /// Number of requests delivered and not undone (the proofs' reply counter).
@@ -400,7 +402,7 @@ pub struct OarServer<S: StateMachine> {
     /// arrived yet (delivery must follow the sequencer order).
     order_queue: VecDeque<RequestId>,
     /// Fast membership test for `order_queue`.
-    order_queued: HashSet<RequestId>,
+    order_queued: IdSet<RequestId>,
     /// Sequencer cursor into `r_delivered`: every request before this
     /// position has already been examined by Task 1a this epoch (it is
     /// delivered, settled, or in `order_queue`), so Task 1a only scans the
@@ -419,7 +421,7 @@ pub struct OarServer<S: StateMachine> {
     flush_timer_pending: bool,
 
     // --- components ---
-    request_cast: ReliableCaster<Request<S::Command>>,
+    request_cast: ReliableCaster<Arc<Request<S::Command>>>,
     phase2_cast: ReliableCaster<PhaseIIMsg>,
     fd: HeartbeatFd,
     consensus: Option<MajConsensus<CnsvValue>>,
@@ -433,12 +435,12 @@ pub struct OarServer<S: StateMachine> {
     /// The payloads the pending decision is still waiting for. Maintained
     /// incrementally so each payload arrival re-examines the decision in
     /// O(1) instead of rescanning every request it mentions.
-    pending_missing: HashSet<RequestId>,
+    pending_missing: IdSet<RequestId>,
 
     // --- payload garbage collection (epoch watermark) ---
     /// Highest settled-epoch watermark heard from each peer (this server's
     /// own watermark is `epoch`, always current).
-    peer_settled: HashMap<ProcessId, u64>,
+    peer_settled: IdMap<ProcessId, u64>,
     /// Epochs `< gc_floor` have had their payloads pruned already.
     gc_floor: u64,
     /// Requests settled per closed epoch, awaiting acknowledgement by every
@@ -463,7 +465,7 @@ pub struct OarServer<S: StateMachine> {
     /// The settled requests (with payloads) ordered after the snapshot
     /// position, in delivery order — the catch-up delta a donor serves.
     /// Parallels the retained `a_delivered` exactly; cleared on snapshot.
-    settled_log: VecDeque<Request<S::Command>>,
+    settled_log: VecDeque<Arc<Request<S::Command>>>,
     /// The latest snapshot (taken at construction with position 0, then at
     /// every [`OarConfig::snapshot_every`]-th epoch close).
     snapshot: SnapshotRecord,
@@ -493,7 +495,7 @@ pub struct OarServer<S: StateMachine> {
     /// Payload ids observed missing at the previous maintenance tick: only
     /// ids missing for a full tick are fetched, so normal multicast delivery
     /// fills fresh gaps without repair traffic.
-    prev_missing: HashSet<RequestId>,
+    prev_missing: IdSet<RequestId>,
     /// Rotates the target peer of successive `PayloadFetch` wires.
     fetch_round: u64,
     /// Maintenance ticks the current consensus instance has spent undecided:
@@ -577,12 +579,12 @@ impl<S: StateMachine> OarServer<S> {
             r_delivered: Seq::new(),
             a_delivered: Seq::new(),
             o_delivered: Seq::new(),
-            settled: HashSet::new(),
-            payloads: HashMap::new(),
+            settled: IdSet::default(),
+            payloads: IdMap::default(),
             undo_stack: Vec::new(),
             position: 0,
             order_queue: VecDeque::new(),
-            order_queued: HashSet::new(),
+            order_queued: IdSet::default(),
             order_cursor: 0,
             phase2_started: false,
             adaptive: config.adaptive.map(BatchController::new),
@@ -592,8 +594,8 @@ impl<S: StateMachine> OarServer<S> {
             future_phase2: BTreeSet::new(),
             buffered_consensus: BTreeMap::new(),
             pending_decision: None,
-            pending_missing: HashSet::new(),
-            peer_settled: HashMap::new(),
+            pending_missing: IdSet::default(),
+            peer_settled: IdMap::default(),
             gc_floor: 0,
             gc_pending: BTreeMap::new(),
             phase2_msg_ids: BTreeMap::new(),
@@ -606,7 +608,7 @@ impl<S: StateMachine> OarServer<S> {
             recovery_buffer: Vec::new(),
             held_catch_ups: Vec::new(),
             opt_freeze_epoch: None,
-            prev_missing: HashSet::new(),
+            prev_missing: IdSet::default(),
             fetch_round: 0,
             cnsv_stall_ticks: 0,
             route_epoch: 0,
@@ -905,7 +907,7 @@ impl<S: StateMachine> OarServer<S> {
     fn handle_request_delivery(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        delivery: Delivery<Request<S::Command>>,
+        delivery: Delivery<Arc<Request<S::Command>>>,
     ) {
         let request = delivery.payload;
         let id = request.id;
@@ -1150,9 +1152,9 @@ impl<S: StateMachine> OarServer<S> {
         ids: &[RequestId],
         pending: &mut PendingReplies<S::Response>,
     ) {
-        let requests: Vec<Request<S::Command>> = ids
+        let requests: Vec<Arc<Request<S::Command>>> = ids
             .iter()
-            .map(|id| self.payloads.get(id).expect("payload present").clone())
+            .map(|id| Arc::clone(self.payloads.get(id).expect("payload present")))
             .collect();
         let commands: Vec<&S::Command> = requests.iter().map(|r| &r.command).collect();
         let results = apply_command_batch(
@@ -1440,10 +1442,10 @@ impl<S: StateMachine> OarServer<S> {
         // A-deliveries are settled and never rolled back.
         let mut pending: PendingReplies<S::Response> = BTreeMap::new();
         if !outcome.new.is_empty() {
-            let requests: Vec<Request<S::Command>> = outcome
+            let requests: Vec<Arc<Request<S::Command>>> = outcome
                 .new
                 .iter()
-                .map(|id| self.payloads.get(id).expect("payload present").clone())
+                .map(|id| Arc::clone(self.payloads.get(id).expect("payload present")))
                 .collect();
             let commands: Vec<&S::Command> = requests.iter().map(|r| &r.command).collect();
             let results = apply_command_batch(
@@ -1485,7 +1487,7 @@ impl<S: StateMachine> OarServer<S> {
             // The settled request (with payload) joins the catch-up delta —
             // retained past the payload GC until the next snapshot compacts
             // it, so a donor can always serve snapshot + delta.
-            let request = self.payloads.get(id).expect("payload present").clone();
+            let request = Arc::clone(self.payloads.get(id).expect("payload present"));
             if let Some(cmd) = &request.reconfig {
                 reconfigs.push(cmd.clone());
             }
@@ -1760,7 +1762,7 @@ impl<S: StateMachine> OarServer<S> {
         if per_client.is_empty() {
             return;
         }
-        let gone: HashSet<RequestId> = per_client.values().flatten().copied().collect();
+        let gone: IdSet<RequestId> = per_client.values().flatten().copied().collect();
         self.r_delivered = self
             .r_delivered
             .iter()
@@ -1849,7 +1851,7 @@ impl<S: StateMachine> OarServer<S> {
         let wire = CastWire {
             id,
             origin,
-            payload: request,
+            payload: Arc::new(request),
         };
         let (delivery, relay) = self.request_cast.on_wire_shared(wire);
         if let Some((wire, targets)) = relay {
@@ -2146,11 +2148,11 @@ impl<S: StateMachine> OarServer<S> {
     ) {
         self.stats.catch_up_replies += 1;
         // Sorted so the reply (and thus the simulation schedule) does not
-        // depend on `HashSet` iteration order.
+        // depend on hash-set iteration order.
         let mut settled: Vec<RequestId> = self.settled.iter().copied().collect();
         settled.sort_unstable();
-        // Sorted so the reply does not depend on `HashMap` iteration order.
-        let mut pending: Vec<Request<S::Command>> = self.payloads.values().cloned().collect();
+        // Sorted so the reply does not depend on hash-map iteration order.
+        let mut pending: Vec<Arc<Request<S::Command>>> = self.payloads.values().cloned().collect();
         pending.sort_unstable_by_key(|r| r.id);
         let reply = CatchUpReply {
             attempt,
@@ -2356,12 +2358,12 @@ impl<S: StateMachine> OarServer<S> {
         to: ProcessId,
         ids: Vec<RequestId>,
     ) {
-        let mut requests: Vec<Request<S::Command>> = Vec::new();
+        let mut requests: Vec<Arc<Request<S::Command>>> = Vec::new();
         for id in ids {
             if let Some(request) = self.payloads.get(&id) {
-                requests.push(request.clone());
+                requests.push(Arc::clone(request));
             } else if let Some(request) = self.settled_log.iter().find(|r| r.id == id) {
-                requests.push(request.clone());
+                requests.push(Arc::clone(request));
             }
         }
         if !requests.is_empty() {
@@ -2456,7 +2458,7 @@ impl<S: StateMachine> OarServer<S> {
     fn handle_payload_fill(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        requests: Vec<Request<S::Command>>,
+        requests: Vec<Arc<Request<S::Command>>>,
     ) {
         for request in requests {
             if request.group != self.config.group || self.settled.contains(&request.id) {
@@ -3158,7 +3160,7 @@ mod tests {
         let wire = CastWire {
             id,
             origin: client,
-            payload: Request {
+            payload: Arc::new(Request {
                 id,
                 client,
                 group: oar_simnet::GroupId::default(),
@@ -3166,7 +3168,7 @@ mod tests {
                 reconfig: None,
                 route_epoch: 0,
                 command: CounterCommand::Add(add),
-            },
+            }),
         };
         (id, OarWire::Request(wire))
     }
@@ -3177,7 +3179,7 @@ mod tests {
         let wire = CastWire {
             id,
             origin: client,
-            payload: Request {
+            payload: Arc::new(Request {
                 id,
                 client,
                 group: oar_simnet::GroupId::default(),
@@ -3185,7 +3187,7 @@ mod tests {
                 reconfig: Some(reconfig),
                 route_epoch: 0,
                 command: CounterCommand::Add(0),
-            },
+            }),
         };
         (id, OarWire::Request(wire))
     }

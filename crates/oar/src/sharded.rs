@@ -26,10 +26,11 @@
 //! drop + count mismatches ([`ServerStats::misrouted`]); the experiment
 //! harness gates on the count staying zero.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use oar_channels::CastWire;
-use oar_sequence::Seq;
+use oar_sequence::{IdMap, IdSet, Seq};
 use oar_simnet::{
     GroupId, NetConfig, NetStats, Process, ProcessId, Runtime, Samples, SimDuration, SimTime,
     Timer, TimerTag, World,
@@ -105,14 +106,13 @@ struct Outstanding<C, R> {
     index: usize,
     sent_at: SimTime,
     quorum: QuorumTracker<R>,
-    /// The command itself, retained so a [`OarWire::Redirect`] can re-route
-    /// the request to the group that now owns its key.
-    command: C,
-    /// The routing-boundary epoch the request was last sent under. Used to
-    /// de-duplicate redirects: once a request was re-sent under the current
-    /// epoch, further `Redirect`s naming it (one per group member that
-    /// door-dropped a first-hand copy) are ignored.
-    route_epoch: u64,
+    /// The request as last sent, shared with its wire and retained so a
+    /// [`OarWire::Redirect`] can re-route it to the group that now owns its
+    /// key (only such a re-send copies the command). Its `route_epoch`
+    /// de-duplicates redirects: once a request was re-sent under the current
+    /// routing epoch, further `Redirect`s naming it (one per group member
+    /// that door-dropped a first-hand copy) are ignored.
+    request: Arc<Request<C>>,
 }
 
 /// Per-group adaptive pipeline state of a [`ShardedClient`]: one window
@@ -124,7 +124,7 @@ struct GroupPipelines {
     controllers: Vec<PipelineController>,
     in_flight: Vec<usize>,
     /// Which group each server belongs to, for attributing reply wires.
-    server_group: HashMap<ProcessId, usize>,
+    server_group: IdMap<ProcessId, usize>,
 }
 
 impl GroupPipelines {
@@ -285,18 +285,19 @@ where
             }
             let id = RequestId::new(self.id, self.next_seq);
             self.next_seq += 1;
+            let request = Arc::new(Request {
+                id,
+                client: self.id,
+                group,
+                txn: None,
+                reconfig: None,
+                route_epoch: self.router.route_epoch(),
+                command,
+            });
             let wire = CastWire {
                 id,
                 origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: None,
-                    reconfig: None,
-                    route_epoch: self.router.route_epoch(),
-                    command: command.clone(),
-                },
+                payload: Arc::clone(&request),
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
             ctx.annotate(format!("OAR-multicast({id}, {group})"));
@@ -307,8 +308,7 @@ where
                     index: self.next_index,
                     sent_at: ctx.now(),
                     quorum: QuorumTracker::new(),
-                    command,
-                    route_epoch: self.router.route_epoch(),
+                    request,
                 },
             );
             self.next_index += 1;
@@ -410,10 +410,10 @@ where
             let Some(outstanding) = self.outstanding.get_mut(&id) else {
                 continue; // already completed (a racing group answered)
             };
-            if outstanding.route_epoch >= route_epoch {
+            if outstanding.request.route_epoch >= route_epoch {
                 continue; // already re-sent under the current boundary
             }
-            let group = self.router.route(&outstanding.command);
+            let group = self.router.route(&outstanding.request.command);
             if group != outstanding.group {
                 if let Some(a) = self.adaptive.as_mut() {
                     a.in_flight[outstanding.group.index()] -= 1;
@@ -429,19 +429,19 @@ where
             // stamp alone, so re-send under the fresh one; if a pre-fence
             // relay spread it after all, the group's seen-set absorbs the
             // duplicate.
-            outstanding.route_epoch = route_epoch;
+            outstanding.request = Arc::new(Request {
+                id,
+                client: self.id,
+                group,
+                txn: None,
+                reconfig: None,
+                route_epoch,
+                command: outstanding.request.command.clone(),
+            });
             let wire = CastWire {
                 id,
                 origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: None,
-                    reconfig: None,
-                    route_epoch,
-                    command: outstanding.command.clone(),
-                },
+                payload: Arc::clone(&outstanding.request),
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
             ctx.annotate(format!("OAR-redirect({id}, {group})"));
@@ -735,7 +735,7 @@ where
             let wire = CastWire {
                 id,
                 origin: admin,
-                payload: Request {
+                payload: Arc::new(Request {
                     id,
                     client: admin,
                     group: GroupId::new(g),
@@ -746,7 +746,7 @@ where
                     }),
                     route_epoch: record.route_epoch - 1,
                     command: fence_command.clone(),
-                },
+                }),
             };
             for &s in &self.groups[g] {
                 if !self.world.is_crashed(s) {
@@ -863,16 +863,16 @@ where
     /// settled the request, the position at which that server processed it.
     pub fn check_external_consistency(&self) -> Result<(), String> {
         // Final settled position of every request, per server, per group.
-        let mut per_group: Vec<Vec<HashMap<RequestId, u64>>> = Vec::new();
+        let mut per_group: Vec<Vec<IdMap<RequestId, u64>>> = Vec::new();
         for servers in &self.groups {
             let mut maps = Vec::new();
             for &s in servers {
                 if self.world.is_crashed(s) {
-                    maps.push(HashMap::new());
+                    maps.push(IdMap::default());
                     continue;
                 }
                 let server = self.world.process_ref::<OarServer<S>>(s);
-                let mut positions = HashMap::new();
+                let mut positions = IdMap::default();
                 for (i, id) in server.committed_sequence().iter().enumerate() {
                     positions.insert(*id, (i + 1) as u64);
                 }
@@ -940,7 +940,7 @@ pub(crate) fn check_groups_consistency<S: StateMachine>(
     world: &World<OarWire<S::Command, S::Response>>,
     groups: &[Vec<ProcessId>],
 ) -> Result<(), String> {
-    let mut owner_of: HashMap<RequestId, GroupId> = HashMap::new();
+    let mut owner_of: IdMap<RequestId, GroupId> = IdMap::default();
     for (g, servers) in groups.iter().enumerate() {
         let alive: Vec<ProcessId> = servers
             .iter()
@@ -952,7 +952,7 @@ pub(crate) fn check_groups_consistency<S: StateMachine>(
             .map(|&s| (s, world.process_ref::<OarServer<S>>(s).committed_sequence()))
             .collect();
         for (p, seq) in &sequences {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = IdSet::default();
             for id in seq.iter() {
                 if !seen.insert(*id) {
                     return Err(format!("group {g}: server {p} delivered {id} twice"));
@@ -977,7 +977,7 @@ pub(crate) fn check_groups_consistency<S: StateMachine>(
             }
         }
         // Digest equality for equal-length sequences.
-        let mut by_len: HashMap<usize, (ProcessId, u64)> = HashMap::new();
+        let mut by_len: IdMap<usize, (ProcessId, u64)> = IdMap::default();
         for &s in &alive {
             let server = world.process_ref::<OarServer<S>>(s);
             let len = server.committed_sequence().len();
@@ -1188,7 +1188,7 @@ mod tests {
                         oar_simnet::Payload::Shared(s) => s.as_ref(),
                     };
                     match wire {
-                        OarWire::Request(cast) => Some((*to, &cast.payload)),
+                        OarWire::Request(cast) => Some((*to, &*cast.payload)),
                         _ => None,
                     }
                 }

@@ -51,9 +51,11 @@
 //! group's sequencer had already delivered them (the optimistic weight
 //! `{p, s}` contains the sequencer; the conservative weight is all of `Π`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use oar_channels::CastWire;
+use oar_sequence::IdMap;
 use oar_simnet::{
     GroupId, Process, ProcessId, Runtime, Samples, SimDuration, SimTime, Timer, TimerTag, World,
 };
@@ -149,12 +151,12 @@ impl<R> TxnCompleted<R> {
 struct PendingPart<C, R> {
     group: GroupId,
     quorum: QuorumTracker<R>,
-    /// The partition command, retained so a [`OarWire::Redirect`] can
-    /// re-send the prepare (to the group that now owns its shard key).
-    command: C,
-    /// The routing-boundary epoch the prepare was last sent under; redirects
-    /// naming an already re-sent prepare are de-duplicated against it.
-    route_epoch: u64,
+    /// The prepare as last sent, shared with its wire and retained so a
+    /// [`OarWire::Redirect`] can re-send it to the group that now owns its
+    /// shard key (only such a re-send copies the command). Redirects naming
+    /// a prepare already re-sent under the current routing epoch are
+    /// de-duplicated against its `route_epoch`.
+    request: Arc<Request<C>>,
 }
 
 #[derive(Debug)]
@@ -200,7 +202,7 @@ pub struct TxnClient<S: StateMachine> {
     adaptive: Option<PipelineController>,
     outstanding: BTreeMap<TxnId, OutstandingTxn<S::Command, S::Response>>,
     /// Owning transaction of every in-flight prepare request.
-    request_txn: HashMap<RequestId, TxnId>,
+    request_txn: IdMap<RequestId, TxnId>,
     completed: Vec<TxnCompleted<S::Response>>,
 }
 
@@ -245,7 +247,7 @@ where
             pipeline: config.initial_window().max(1),
             adaptive,
             outstanding: BTreeMap::new(),
-            request_txn: HashMap::new(),
+            request_txn: IdMap::default(),
             completed: Vec::new(),
         }
     }
@@ -320,18 +322,19 @@ where
             let id = RequestId::new(self.id, self.next_seq);
             self.next_seq += 1;
             let route_epoch = self.router.route_epoch();
+            let request = Arc::new(Request {
+                id,
+                client: self.id,
+                group,
+                txn: envelope.clone(),
+                reconfig: None,
+                route_epoch,
+                command,
+            });
             let wire = CastWire {
                 id,
                 origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: envelope.clone(),
-                    reconfig: None,
-                    route_epoch,
-                    command: command.clone(),
-                },
+                payload: Arc::clone(&request),
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
             ctx.annotate(format!("OAR-multicast({id}, {group})"));
@@ -341,8 +344,7 @@ where
                 PendingPart {
                     group,
                     quorum: QuorumTracker::new(),
-                    command,
-                    route_epoch,
+                    request,
                 },
             );
         }
@@ -457,10 +459,10 @@ where
                 .pending
                 .get_mut(&id)
                 .expect("pending part matches request_txn");
-            if part.route_epoch >= route_epoch {
+            if part.request.route_epoch >= route_epoch {
                 continue; // already re-sent under the current boundary
             }
-            let group = self.router.route(&part.command);
+            let group = self.router.route(&part.request.command);
             if group != part.group {
                 // Partial optimistic weight from the donor group must not be
                 // mixed with the recipient's replies (epoch numbers are
@@ -468,19 +470,19 @@ where
                 part.group = group;
                 part.quorum = QuorumTracker::new();
             }
-            part.route_epoch = route_epoch;
+            part.request = Arc::new(Request {
+                id,
+                client: self.id,
+                group,
+                txn: outstanding.envelope.clone(),
+                reconfig: None,
+                route_epoch,
+                command: part.request.command.clone(),
+            });
             let wire = CastWire {
                 id,
                 origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: outstanding.envelope.clone(),
-                    reconfig: None,
-                    route_epoch,
-                    command: part.command.clone(),
-                },
+                payload: Arc::clone(&part.request),
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
             ctx.annotate(format!("OAR-redirect({id}, {group})"));
@@ -736,16 +738,16 @@ where
     /// server processed it.
     pub fn check_external_consistency(&self) -> Result<(), String> {
         // Final settled position of every request, per server, per group.
-        let mut per_group: Vec<Vec<HashMap<RequestId, u64>>> = Vec::new();
+        let mut per_group: Vec<Vec<IdMap<RequestId, u64>>> = Vec::new();
         for servers in &self.groups {
             let mut maps = Vec::new();
             for &s in servers {
                 if self.world.is_crashed(s) {
-                    maps.push(HashMap::new());
+                    maps.push(IdMap::default());
                     continue;
                 }
                 let server = self.world.process_ref::<OarServer<S>>(s);
-                let mut positions = HashMap::new();
+                let mut positions = IdMap::default();
                 for (i, id) in server.committed_sequence().iter().enumerate() {
                     positions.insert(*id, (i + 1) as u64);
                 }

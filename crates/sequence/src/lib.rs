@@ -19,6 +19,7 @@
 //! # Indexed representation
 //!
 //! `Seq<T>` stores its elements in a `Vec<T>` **and** maintains a hash index
+//! (an [`IdMap`], hashed with the fast [`IdHasher`])
 //! from element to the position of its first occurrence. The index makes the
 //! membership queries of the protocol's hot path (`m ∈ O_delivered`,
 //! `position(m)`) O(1), and turns the binary operators from the naive
@@ -58,10 +59,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Add, Index};
+
+mod hash;
+
+pub use hash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 
 /// An ordered sequence of elements, the basic data structure of the OAR
 /// protocol.
@@ -75,14 +80,14 @@ use std::ops::{Add, Index};
 pub struct Seq<T> {
     items: Vec<T>,
     /// `index[x]` = position of the first occurrence of `x` in `items`.
-    index: HashMap<T, usize>,
+    index: IdMap<T, usize>,
 }
 
 impl<T> Default for Seq<T> {
     fn default() -> Self {
         Seq {
             items: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 }
@@ -145,7 +150,7 @@ impl<T> Seq<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         Seq {
             items: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: IdMap::with_capacity_and_hasher(capacity, Default::default()),
         }
     }
 
@@ -334,7 +339,7 @@ impl<T: Clone + Eq + Hash> Seq<T> {
         self.rebuild_index();
         let mut prefix = Seq {
             items: prefix_items,
-            index: HashMap::new(),
+            index: IdMap::default(),
         };
         prefix.rebuild_index();
         prefix
@@ -455,7 +460,7 @@ impl<T: Clone + Eq + Hash> From<Vec<T>> for Seq<T> {
     fn from(items: Vec<T>) -> Self {
         let mut seq = Seq {
             items,
-            index: HashMap::new(),
+            index: IdMap::default(),
         };
         seq.rebuild_index();
         seq

@@ -50,6 +50,7 @@ pub mod context;
 pub mod metrics;
 pub mod network;
 pub mod process;
+mod queue;
 pub mod rng;
 pub mod runtime;
 pub mod time;

@@ -18,8 +18,9 @@ pub struct Network {
     /// partition is installed.
     partition_of: Option<HashMap<ProcessId, usize>>,
     /// Earliest time the next message on each ordered link may be delivered
-    /// (enforces FIFO when `config.fifo_links` is set).
-    fifo_horizon: HashMap<(ProcessId, ProcessId), SimTime>,
+    /// (enforces FIFO when `config.fifo_links` is set), indexed
+    /// `[from][to]` and grown on first use of a link.
+    fifo_horizon: Vec<Vec<SimTime>>,
 }
 
 /// The decision the network takes for one message.
@@ -44,7 +45,7 @@ impl Network {
             config,
             link_overrides: HashMap::new(),
             partition_of: None,
-            fifo_horizon: HashMap::new(),
+            fifo_horizon: Vec::new(),
         }
     }
 
@@ -164,7 +165,14 @@ impl Network {
             return latency;
         }
         let arrival = now + latency;
-        let horizon = self.fifo_horizon.entry((from, to)).or_insert(SimTime::ZERO);
+        if self.fifo_horizon.len() <= from.0 {
+            self.fifo_horizon.resize_with(from.0 + 1, Vec::new);
+        }
+        let row = &mut self.fifo_horizon[from.0];
+        if row.len() <= to.0 {
+            row.resize(to.0 + 1, SimTime::ZERO);
+        }
+        let horizon = &mut row[to.0];
         let arrival = arrival.max(*horizon);
         *horizon = arrival;
         arrival - now

@@ -7,7 +7,6 @@
 //!
 //! [`Runtime::annotate`]: crate::Runtime::annotate
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::process::{GroupId, ProcessId};
@@ -138,48 +137,65 @@ pub struct NetStats {
 pub struct Tracer {
     events: Vec<TraceEvent>,
     stats: NetStats,
-    /// Group membership, for the per-group statistics of sharded deployments.
-    /// Processes without a group are counted only in the aggregate.
-    group_of: HashMap<ProcessId, GroupId>,
-    /// Per-group statistics, attributed to the *sender's* group (timers to
-    /// the owning process's group).
-    group_stats: BTreeMap<GroupId, NetStats>,
+    /// Group membership, for the per-group statistics of sharded deployments,
+    /// indexed by process id. Processes without a group (`None`, or beyond
+    /// the end) are counted only in the aggregate.
+    group_of: Vec<Option<GroupId>>,
+    /// Per-group statistics indexed by group id, attributed to the *sender's*
+    /// group (timers to the owning process's group). `None` for a group no
+    /// event was attributed to yet.
+    group_stats: Vec<Option<NetStats>>,
     /// When `false`, only statistics and annotations are kept (long runs).
     record_network_events: bool,
 }
 
 impl Tracer {
     /// Creates a tracer. If `record_network_events` is false, per-message
-    /// events are not stored (annotations still are), which keeps memory flat
-    /// for long benchmark runs.
+    /// events (sends, deliveries, drops, timer firings) are not stored, so
+    /// their memory does not grow with the run. Annotations, crashes,
+    /// restarts and partition changes are still stored, without bound: a
+    /// protocol that annotates every delivery (as the OAR server does, one
+    /// formatted `String` per Opt-deliver and A-deliver per replica) still
+    /// grows the trace with every request.
     pub fn new(record_network_events: bool) -> Self {
         Tracer {
             events: Vec::new(),
             stats: NetStats::default(),
-            group_of: HashMap::new(),
-            group_stats: BTreeMap::new(),
+            group_of: Vec::new(),
+            group_stats: Vec::new(),
             record_network_events,
         }
     }
 
     /// Declares `process` a member of `group` for per-group statistics.
     pub fn assign_group(&mut self, process: ProcessId, group: GroupId) {
-        self.group_of.insert(process, group);
+        if self.group_of.len() <= process.0 {
+            self.group_of.resize(process.0 + 1, None);
+        }
+        self.group_of[process.0] = Some(group);
     }
 
     /// The group `process` was assigned to, if any.
     pub fn group_of(&self, process: ProcessId) -> Option<GroupId> {
-        self.group_of.get(&process).copied()
+        self.group_of.get(process.0).copied().flatten()
     }
 
     /// Statistics of one group (zeros if the group never appeared).
     pub fn group_stats(&self, group: GroupId) -> NetStats {
-        self.group_stats.get(&group).copied().unwrap_or_default()
+        self.group_stats
+            .get(group.0)
+            .copied()
+            .flatten()
+            .unwrap_or_default()
     }
 
     /// All per-group statistics recorded so far, ordered by group id.
     pub fn all_group_stats(&self) -> Vec<(GroupId, NetStats)> {
-        self.group_stats.iter().map(|(&g, &s)| (g, s)).collect()
+        self.group_stats
+            .iter()
+            .enumerate()
+            .filter_map(|(g, stats)| stats.map(|stats| (GroupId(g), stats)))
+            .collect()
     }
 
     /// The process a network event is attributed to: the sender for message
@@ -207,8 +223,14 @@ impl Tracer {
     /// Records an event, updating statistics.
     pub fn record(&mut self, time: SimTime, kind: TraceKind) {
         Self::bump(&mut self.stats, &kind);
-        if let Some(g) = Self::attribution(&kind).and_then(|p| self.group_of.get(&p).copied()) {
-            Self::bump(self.group_stats.entry(g).or_default(), &kind);
+        if let Some(g) = Self::attribution(&kind).and_then(|p| self.group_of(p)) {
+            if self.group_stats.len() <= g.0 {
+                self.group_stats.resize(g.0 + 1, None);
+            }
+            Self::bump(
+                self.group_stats[g.0].get_or_insert_with(NetStats::default),
+                &kind,
+            );
         }
         let keep = self.record_network_events
             || matches!(

@@ -1,9 +1,8 @@
 //! The simulation engine: a deterministic discrete-event executor for a set of
 //! [`Process`]es connected by a simulated [`Network`].
 
-use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -11,6 +10,7 @@ use crate::config::NetConfig;
 use crate::context::{Action, Context, Payload};
 use crate::network::{Network, Routing};
 use crate::process::{GroupId, Process, ProcessId, Timer, TimerId};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::runtime::TimerTag;
 use crate::time::{SimDuration, SimTime};
@@ -62,36 +62,6 @@ enum EventKind<M> {
         at: ProcessId,
         f: ProcessCall<M>,
     },
-}
-
-struct QueuedEvent<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    /// Events are totally ordered by `(time, seq)`. `seq` is the per-world
-    /// push counter, so same-timestamp events dispatch in the order they were
-    /// scheduled — this is the **stable tie-breaking key** that makes runs
-    /// replayable: a trace that names events by `seq` (as the `oar-mc` model
-    /// checker does) identifies each pending event unambiguously, and a plain
-    /// run over the same pushes dispatches them in exactly this order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 /// Why a [`World::run_until_quiescent`] loop stopped.
@@ -169,7 +139,7 @@ pub enum PendingEventInfo {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PendingEvent {
     /// Stable per-world sequence number — the replayable identity of the
-    /// event (see the `QueuedEvent` ordering: ties on `time` break by
+    /// event (events dispatch in `(time, seq)` order: ties on `time` break by
     /// `seq`, so naming events by `seq` makes traces replayable).
     pub seq: u64,
     /// Scheduled dispatch time (a lower bound under key-directed dispatch).
@@ -255,16 +225,23 @@ struct HeldMessage<M> {
 pub struct World<M> {
     slots: Vec<Slot<M>>,
     net: Network,
-    queue: BinaryHeap<QueuedEvent<M>>,
+    /// Pending events, dispatched in `(time, seq)` order — the stable
+    /// tie-breaking key that makes runs replayable: same-time events run in
+    /// the order they were scheduled, and a trace that names events by `seq`
+    /// (as the `oar-mc` model checker does) identifies each one
+    /// unambiguously.
+    queue: EventQueue<EventKind<M>>,
     held: Vec<HeldMessage<M>>,
     now: SimTime,
-    seq: u64,
     rng: SimRng,
     tracer: Tracer,
     next_timer_id: u64,
     cancelled_timers: HashSet<TimerId>,
     events_processed: u64,
     event_limit: Option<u64>,
+    /// The action buffer handed to every callback, drained after each one
+    /// and kept for the next, so a callback allocates no buffer of its own.
+    actions: Vec<Action<M>>,
 }
 
 impl<M: Clone + 'static> World<M> {
@@ -273,16 +250,16 @@ impl<M: Clone + 'static> World<M> {
         World {
             slots: Vec::new(),
             net: Network::new(config),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             held: Vec::new(),
             now: SimTime::ZERO,
-            seq: 0,
             rng: SimRng::new(seed),
             tracer: Tracer::new(false),
             next_timer_id: 0,
             cancelled_timers: HashSet::new(),
             events_processed: 0,
             event_limit: None,
+            actions: Vec::new(),
         }
     }
 
@@ -496,19 +473,7 @@ impl<M: Clone + 'static> World<M> {
         if self.slots[process.0].crashed {
             return;
         }
-        let mut actions: Vec<Action<M>> = Vec::new();
-        {
-            let slot = &mut self.slots[process.0];
-            let mut ctx = Context::new(
-                self.now,
-                process,
-                &mut self.rng,
-                &mut actions,
-                &mut self.next_timer_id,
-            );
-            f(slot.process.as_mut(), &mut ctx);
-        }
-        self.apply_actions(process, actions);
+        self.run_callback(process, f);
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -519,13 +484,13 @@ impl<M: Clone + 'static> World<M> {
                 return false;
             }
         }
-        let Some(event) = self.queue.pop() else {
+        let Some((time, _, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(event.time >= self.now, "time must be monotonic");
-        self.now = event.time;
+        debug_assert!(time >= self.now, "time must be monotonic");
+        self.now = time;
         self.events_processed += 1;
-        self.dispatch(event.kind);
+        self.dispatch(kind);
         true
     }
 
@@ -539,12 +504,12 @@ impl<M: Clone + 'static> World<M> {
                     break;
                 }
             }
-            match self.queue.peek() {
-                Some(e) if e.time <= until => {
-                    let event = self.queue.pop().expect("peeked event");
-                    self.now = event.time;
+            match self.queue.peek_time() {
+                Some(time) if time <= until => {
+                    let (time, _, kind) = self.queue.pop().expect("peeked event");
+                    self.now = time;
                     self.events_processed += 1;
-                    self.dispatch(event.kind);
+                    self.dispatch(kind);
                 }
                 _ => break,
             }
@@ -612,18 +577,16 @@ impl<M: Clone + 'static> World<M> {
     /// All pending events, sorted by the dispatch order key `(time, seq)`,
     /// with their no-op status evaluated against the current world state.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
-        let mut pending: Vec<PendingEvent> = self
-            .queue
-            .iter()
-            .map(|e| PendingEvent {
-                seq: e.seq,
-                time: e.time,
-                info: Self::event_info(&e.kind),
-                noop: self.event_noop(&e.kind),
+        self.queue
+            .sorted()
+            .into_iter()
+            .map(|(time, seq, kind)| PendingEvent {
+                seq,
+                time,
+                info: Self::event_info(kind),
+                noop: self.event_noop(kind),
             })
-            .collect();
-        pending.sort_by_key(|e| (e.time, e.seq));
-        pending
+            .collect()
     }
 
     /// The scheduling choices a model checker may take next: pending events
@@ -678,16 +641,12 @@ impl<M: Clone + 'static> World<M> {
     /// protocol settings — see the `oar-mc` crate docs).
     pub fn dispatch_key(&mut self, seq: u64) -> bool {
         self.ensure_started();
-        let mut events = std::mem::take(&mut self.queue).into_vec();
-        let Some(pos) = events.iter().position(|e| e.seq == seq) else {
-            self.queue = BinaryHeap::from(events);
+        let Some((time, kind)) = self.queue.remove(seq) else {
             return false;
         };
-        let event = events.swap_remove(pos);
-        self.queue = BinaryHeap::from(events);
-        self.now = self.now.max(event.time);
+        self.now = self.now.max(time);
         self.events_processed += 1;
-        self.dispatch(event.kind);
+        self.dispatch(kind);
         true
     }
 
@@ -696,9 +655,9 @@ impl<M: Clone + 'static> World<M> {
     /// `seq`. Model checkers mix these into sleep-set hashes so that sets
     /// keyed by `seq` compare equal across forks.
     pub fn event_signature(&self, seq: u64, msg_digest: &dyn Fn(&M) -> u64) -> Option<u64> {
-        let event = self.queue.iter().find(|e| e.seq == seq)?;
+        let kind = self.queue.get(seq)?;
         let mut h = DefaultHasher::new();
-        Self::hash_event_content(&event.kind, msg_digest, &mut h);
+        Self::hash_event_content(kind, msg_digest, &mut h);
         Some(h.finish())
     }
 
@@ -731,16 +690,14 @@ impl<M: Clone + 'static> World<M> {
         // Pending events: group per "channel" so the hash captures the
         // *order-relevant* content. BTreeMaps give a canonical iteration
         // order; within one channel events are pushed in (time, seq) order.
-        let mut events: Vec<&QueuedEvent<M>> = self.queue.iter().collect();
-        events.sort_by_key(|e| (e.time, e.seq));
         let mut delivers: BTreeMap<(ProcessId, ProcessId), Vec<u64>> = BTreeMap::new();
         let mut timers: BTreeMap<ProcessId, Vec<TimerTag>> = BTreeMap::new();
         let mut other: Vec<(u8, Option<ProcessId>)> = Vec::new();
-        for e in events {
-            if e.time > horizon || self.event_noop(&e.kind) {
+        for (time, _, kind) in self.queue.sorted() {
+            if time > horizon || self.event_noop(kind) {
                 continue;
             }
-            match &e.kind {
+            match kind {
                 EventKind::Deliver { from, to, msg, .. } => {
                     let mut eh = DefaultHasher::new();
                     Self::hash_payload(msg, msg_digest, &mut eh);
@@ -780,9 +737,8 @@ impl<M: Clone + 'static> World<M> {
                 incarnation: slot.incarnation,
             });
         }
-        let mut queue = BinaryHeap::with_capacity(self.queue.len());
-        for e in self.queue.iter() {
-            let kind = match &e.kind {
+        let queue = self.queue.try_copy(|seq, kind| {
+            Ok(match kind {
                 EventKind::Deliver {
                     from,
                     to,
@@ -811,15 +767,10 @@ impl<M: Clone + 'static> World<M> {
                 },
                 EventKind::HealPartition => EventKind::HealPartition,
                 EventKind::Restart { .. } | EventKind::Call { .. } => {
-                    return Err(ForkError::UnforkableEvent(e.seq));
+                    return Err(ForkError::UnforkableEvent(seq));
                 }
-            };
-            queue.push(QueuedEvent {
-                time: e.time,
-                seq: e.seq,
-                kind,
-            });
-        }
+            })
+        })?;
         let held = self
             .held
             .iter()
@@ -836,13 +787,13 @@ impl<M: Clone + 'static> World<M> {
             queue,
             held,
             now: self.now,
-            seq: self.seq,
             rng: self.rng.clone(),
             tracer: self.tracer.clone(),
             next_timer_id: self.next_timer_id,
             cancelled_timers: self.cancelled_timers.clone(),
             events_processed: self.events_processed,
             event_limit: self.event_limit,
+            actions: Vec::new(),
         })
     }
 
@@ -928,28 +879,35 @@ impl<M: Clone + 'static> World<M> {
                 continue;
             }
             self.slots[idx].started = true;
-            let pid = ProcessId(idx);
-            let mut actions: Vec<Action<M>> = Vec::new();
-            {
-                let slot = &mut self.slots[idx];
-                let mut ctx = Context::new(
-                    self.now,
-                    pid,
-                    &mut self.rng,
-                    &mut actions,
-                    &mut self.next_timer_id,
-                );
-                slot.process.on_start(&mut ctx);
-            }
-            self.apply_actions(pid, actions);
+            self.run_callback(ProcessId(idx), |process, ctx| process.on_start(ctx));
         }
     }
 
+    /// Runs one callback of process `pid` and applies the actions it
+    /// recorded, through the world's reused action buffer.
+    fn run_callback(
+        &mut self,
+        pid: ProcessId,
+        f: impl FnOnce(&mut dyn Process<M>, &mut Context<'_, M>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        {
+            let slot = &mut self.slots[pid.0];
+            let mut ctx = Context::new(
+                self.now,
+                pid,
+                &mut self.rng,
+                &mut actions,
+                &mut self.next_timer_id,
+            );
+            f(slot.process.as_mut(), &mut ctx);
+        }
+        self.apply_actions(pid, &mut actions);
+        self.actions = actions;
+    }
+
     fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        let time = time.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent { time, seq, kind });
+        self.queue.push(time.max(self.now), kind);
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
@@ -989,19 +947,7 @@ impl<M: Clone + 'static> World<M> {
                 // Materialise the payload: free for owned messages and for
                 // the last reference of a shared one, one clone otherwise.
                 let msg = msg.materialize();
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[to.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        to,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    slot.process.on_message(&mut ctx, from, msg);
-                }
-                self.apply_actions(to, actions);
+                self.run_callback(to, |process, ctx| process.on_message(ctx, from, msg));
             }
             EventKind::Timer {
                 at,
@@ -1016,19 +962,7 @@ impl<M: Clone + 'static> World<M> {
                     return;
                 }
                 self.tracer.record(self.now, TraceKind::TimerFired { at });
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[at.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        at,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    slot.process.on_timer(&mut ctx, Timer { id, tag });
-                }
-                self.apply_actions(at, actions);
+                self.run_callback(at, |process, ctx| process.on_timer(ctx, Timer { id, tag }));
             }
             EventKind::Crash { at } => self.apply_crash(at),
             EventKind::Restart { at, make } => self.apply_restart(at, make()),
@@ -1041,19 +975,7 @@ impl<M: Clone + 'static> World<M> {
                 if self.slots[at.0].crashed {
                     return;
                 }
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[at.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        at,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    f(slot.process.as_mut(), &mut ctx);
-                }
-                self.apply_actions(at, actions);
+                self.run_callback(at, f);
             }
         }
     }
@@ -1083,19 +1005,7 @@ impl<M: Clone + 'static> World<M> {
             .record(self.now, TraceKind::Restarted { process });
         // Boot the fresh incarnation immediately: the same `on_start` hook a
         // process gets when the world first runs.
-        let mut actions: Vec<Action<M>> = Vec::new();
-        {
-            let slot = &mut self.slots[process.0];
-            let mut ctx = Context::new(
-                self.now,
-                process,
-                &mut self.rng,
-                &mut actions,
-                &mut self.next_timer_id,
-            );
-            slot.process.on_start(&mut ctx);
-        }
-        self.apply_actions(process, actions);
+        self.run_callback(process, |process, ctx| process.on_start(ctx));
     }
 
     fn apply_heal(&mut self) {
@@ -1120,8 +1030,8 @@ impl<M: Clone + 'static> World<M> {
         }
     }
 
-    fn apply_actions(&mut self, from: ProcessId, actions: Vec<Action<M>>) {
-        for action in actions {
+    fn apply_actions(&mut self, from: ProcessId, actions: &mut Vec<Action<M>>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, msg } => {
                     if self.slots[from.0].crashed {
